@@ -29,15 +29,18 @@ const EventBatch& AttackStream() {
 
 void RunPaperQuery(benchmark::State& state, const std::string& file) {
   const EventBatch& events = AttackStream();
+  VectorEventSource source(events);
   uint64_t alerts = 0;
   for (auto _ : state) {
+    state.PauseTiming();
+    bench::ForgetSymbols(&source);
+    state.ResumeTiming();
     SaqlEngine engine;
     Status st = engine.AddQuery(bench::ReadQueryFile(file), "q");
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
-    VectorEventSource source(events);
     st = engine.Run(&source);
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());

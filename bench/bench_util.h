@@ -8,6 +8,7 @@
 
 #include "core/event.h"
 #include "core/time_util.h"
+#include "stream/event_source.h"
 
 namespace saql {
 namespace bench {
@@ -18,6 +19,19 @@ inline std::string ReadQueryFile(const std::string& filename) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// Clears the interned-symbol stamps of every event `source` holds and
+/// rewinds it. A replayed buffer keeps its stamps and skips the intern
+/// layer; call this under `PauseTiming` before each timed pass so the pass
+/// pays interning the way fresh monitoring data does.
+inline void ForgetSymbols(VectorEventSource* source) {
+  source->Reset();
+  while (EventBlock* block = source->NextBlock(source->size())) {
+    Event* rows = block->MutableRows();
+    for (size_t i = 0; i < block->size(); ++i) rows[i].syms = EventSymbols{};
+  }
+  source->Reset();
 }
 
 /// Synthetic stream of per-process network writes: `procs` processes

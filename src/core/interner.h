@@ -20,7 +20,11 @@ namespace saql {
 /// Strings are normalized to ASCII lowercase before interning, matching
 /// SAQL's case-insensitive entity-name semantics (`LikeMatcher`,
 /// `ValuesEqual`): two strings receive the same id iff an exact (wildcard
-/// free) SAQL equality would consider them equal.
+/// free) SAQL equality would consider them equal. The fold is the shared
+/// kernel in core/ascii_fold.h: only 'A'..'Z' change; bytes >= 0x80 are
+/// never folded, so UTF-8 spellings that differ in non-ASCII case stay
+/// distinct ids. Hashing and lookup fold the probe string eight bytes at a
+/// time against the stored, already-lowercase spelling.
 ///
 /// Id 0 (`kUnset`) is reserved and never assigned; an `Event` whose symbol
 /// slots are 0 simply has not passed through `InternEventStrings`, and

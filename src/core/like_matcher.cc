@@ -1,7 +1,6 @@
 #include "core/like_matcher.h"
 
-#include <cctype>
-
+#include "core/ascii_fold.h"
 #include "core/string_util.h"
 
 namespace saql {
@@ -13,30 +12,15 @@ bool ContainsWildcard(const std::string& s) {
          s.find('_') != std::string::npos;
 }
 
-inline char LowerByte(char c) {
-  return static_cast<char>(
-      std::tolower(static_cast<unsigned char>(c)));
-}
-
-/// text (any case) == needle (pre-lowered), without copying text.
-bool CiEquals(std::string_view text, std::string_view needle) {
-  if (text.size() != needle.size()) return false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (LowerByte(text[i]) != needle[i]) return false;
-  }
-  return true;
-}
-
-/// needle (pre-lowered) occurs in text (any case).
+/// needle (pre-lowered, non-empty) occurs in text (any case).
 bool CiContains(std::string_view text, std::string_view needle) {
-  if (needle.empty()) return true;
-  if (text.size() < needle.size()) return false;
-  for (size_t start = 0; start + needle.size() <= text.size(); ++start) {
-    size_t i = 0;
-    while (i < needle.size() && LowerByte(text[start + i]) == needle[i]) {
-      ++i;
+  const size_t n = needle.size();
+  if (text.size() < n) return false;
+  for (size_t start = 0; start + n <= text.size(); ++start) {
+    if (AsciiLower(text[start]) == needle[0] &&
+        EqualsFolded(needle, text.substr(start, n))) {
+      return true;
     }
-    if (i == needle.size()) return true;
   }
   return false;
 }
@@ -78,13 +62,13 @@ LikeMatcher::LikeMatcher(const std::string& pattern)
 bool LikeMatcher::Matches(std::string_view text) const {
   switch (kind_) {
     case Kind::kExact:
-      return CiEquals(text, needle_);
+      return EqualsFolded(needle_, text);
     case Kind::kSuffix:
       return text.size() >= needle_.size() &&
-             CiEquals(text.substr(text.size() - needle_.size()), needle_);
+             EqualsFolded(needle_, text.substr(text.size() - needle_.size()));
     case Kind::kPrefix:
       return text.size() >= needle_.size() &&
-             CiEquals(text.substr(0, needle_.size()), needle_);
+             EqualsFolded(needle_, text.substr(0, needle_.size()));
     case Kind::kContains:
       return CiContains(text, needle_);
     case Kind::kGeneral:
@@ -101,7 +85,7 @@ bool LikeMatcher::GeneralMatch(std::string_view text) const {
   size_t ti = 0, pi = 0;
   size_t star_p = std::string::npos, star_t = 0;
   while (ti < text.size()) {
-    if (pi < p.size() && (p[pi] == '_' || p[pi] == LowerByte(text[ti]))) {
+    if (pi < p.size() && (p[pi] == '_' || p[pi] == AsciiLower(text[ti]))) {
       ++ti;
       ++pi;
     } else if (pi < p.size() && p[pi] == '%') {

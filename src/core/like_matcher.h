@@ -23,10 +23,11 @@ class LikeMatcher {
 
   /// Returns true when `text` matches the compiled pattern.
   ///
-  /// Matching is allocation-free: the comparison lowercases `text` byte by
-  /// byte in place against the pre-lowered pattern instead of materializing
-  /// a lowered copy per call (this sits on the per-event hot path — one
-  /// call per string constraint per candidate event; see the A1 ablation in
+  /// Matching is allocation-free: the comparison folds `text` in place,
+  /// eight bytes at a time through core/ascii_fold.h, against the
+  /// pre-lowered pattern instead of materializing a lowered copy per call
+  /// (this sits on the per-event hot path — one call per string
+  /// constraint per candidate event; see the A1 ablation in
   /// bench_ablation.cc and the allocation regression test in
   /// tests/like_matcher_test.cc). Exact (wildcard-free) equality on
   /// interned attributes is cheaper still — CompiledConstraint short-

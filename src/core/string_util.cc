@@ -1,15 +1,14 @@
 #include "core/string_util.h"
 
-#include <algorithm>
 #include <cctype>
+
+#include "core/ascii_fold.h"
 
 namespace saql {
 
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+std::string ToLower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = AsciiLower(c);
   return out;
 }
 

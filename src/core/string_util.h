@@ -2,12 +2,13 @@
 #define SAQL_CORE_STRING_UTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace saql {
 
-/// ASCII lowercase copy.
-std::string ToLower(const std::string& s);
+/// Copy of `s` folded by `AsciiLower` (core/ascii_fold.h): 'A'..'Z' only.
+std::string ToLower(std::string_view s);
 
 /// Removes leading and trailing whitespace.
 std::string Trim(const std::string& s);

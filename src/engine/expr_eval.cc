@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/ascii_fold.h"
 #include "core/like_matcher.h"
 #include "core/string_util.h"
 #include "parser/analyzer.h"
@@ -20,7 +21,8 @@ bool HasWildcard(const std::string& s) {
          s.find('_') != std::string::npos;
 }
 
-/// Equality with LIKE upgrade for wildcard strings.
+}  // namespace
+
 bool ValuesEqual(const Value& a, const Value& b) {
   if (a.is_string() && b.is_string()) {
     if (HasWildcard(b.AsString())) {
@@ -30,10 +32,12 @@ bool ValuesEqual(const Value& a, const Value& b) {
       return LikeMatcher(a.AsString()).Matches(b.AsString());
     }
     // Entity names compare case-insensitively throughout SAQL.
-    return ToLower(a.AsString()) == ToLower(b.AsString());
+    return EqualsIgnoreCase(a.AsString(), b.AsString());
   }
   return a.Equals(b);
 }
+
+namespace {
 
 Result<Value> EvalBinary(const Expr& e, const EvalContext& ctx);
 Result<Value> EvalUnary(const Expr& e, const EvalContext& ctx);

@@ -37,6 +37,13 @@ class EvalContext {
 /// `%` or `_` wildcard, mirroring entity constraints.
 Result<Value> EvaluateExpr(const Expr& expr, const EvalContext& ctx);
 
+/// SAQL `==` on two non-null values: strings compare as LIKE when either
+/// side holds a `%` or `_` wildcard (the right side is the pattern when
+/// both do), and
+/// otherwise ASCII case-insensitively without allocating; every other
+/// pairing defers to `Value::Equals`.
+bool ValuesEqual(const Value& a, const Value& b);
+
 /// Evaluates `expr` and reduces it to a boolean via `Value::Truthy`
 /// (errors surface as Result errors, not as false).
 Result<bool> EvaluateBool(const Expr& expr, const EvalContext& ctx);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "parser/parser.h"
 
 namespace saql {
@@ -73,6 +74,29 @@ TEST(ExprEvalTest, StringEqualityCaseInsensitive) {
   MapContext ctx;
   ctx.Set("p", Value("CMD.EXE"));
   EXPECT_TRUE(Eval("p == \"cmd.exe\"", ctx).AsBool());
+}
+
+TEST(ExprEvalTest, StringEqualityDoesNotAllocate) {
+  // Longer than any small-string buffer, so a lowered copy per side would
+  // allocate on every comparison.
+  const Value a("C:\\Program Files\\Microsoft SQL Server\\SQLSERVR.EXE");
+  const Value b("c:\\program files\\microsoft sql server\\sqlservr.exe");
+  const Value c("c:\\program files\\microsoft sql server\\sqlservr.ex_");
+  const Value d("c:\\program files\\microsoft sql server\\sqlservr.exf");
+
+  size_t equal = 0;
+  const size_t before = testing::HeapAllocs();
+  for (int i = 0; i < 1000; ++i) {
+    equal += ValuesEqual(a, b);
+    equal += ValuesEqual(b, a);
+    equal += ValuesEqual(a, d);
+  }
+  EXPECT_EQ(testing::HeapAllocs() - before, 0u);
+  EXPECT_EQ(equal, 2000u);
+  // The wildcard branch still upgrades to LIKE.
+  EXPECT_TRUE(ValuesEqual(a, c));
+  EXPECT_TRUE(ValuesEqual(d, c));
+  EXPECT_FALSE(ValuesEqual(Value("sqlservr.exe"), c));
 }
 
 TEST(ExprEvalTest, StringEqualityLikeUpgrade) {

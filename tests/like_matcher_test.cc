@@ -1,5 +1,7 @@
 #include "core/like_matcher.h"
 
+#include <cctype>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -96,6 +98,90 @@ TEST(LikeMatcherTest, MixedCaseTextAcrossAllKinds) {
   EXPECT_TRUE(LikeMatcher("%temp%").Matches("c:\\TEMP\\y"));
   EXPECT_TRUE(LikeMatcher("osql%.exe").Matches("OSQL64.EXE"));
   EXPECT_TRUE(LikeMatcher("backup_.dmp").Matches("BACKUP1.DMP"));
+}
+
+/// Byte-wise reference: LIKE over std::tolower-folded copies, by plain
+/// recursion (exponential in the worst case; fine for short inputs).
+bool ReferenceLike(std::string_view p, std::string_view t) {
+  if (p.empty()) return t.empty();
+  if (p[0] == '%') {
+    for (size_t skip = 0; skip <= t.size(); ++skip) {
+      if (ReferenceLike(p.substr(1), t.substr(skip))) return true;
+    }
+    return false;
+  }
+  if (t.empty()) return false;
+  const auto lower = [](char c) {
+    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  };
+  return (p[0] == '_' || lower(p[0]) == lower(t[0])) &&
+         ReferenceLike(p.substr(1), t.substr(1));
+}
+
+TEST(LikeMatcherTest, EveryKindMatchesBytewiseReference) {
+  // A small alphabet (so random texts hit the patterns often) with both
+  // cases, bytes >= 0x80 whose Latin-1 "case" must not fold, and lengths
+  // past one 8-byte word so the word-wise fast paths run whole words and
+  // tails.
+  static const char kAlphabet[] = "aAbBzZ.\xc3\x84\xa4\xc4\xe4";
+  std::mt19937_64 rng(99);
+  std::uniform_int_distribution<size_t> pick(0, sizeof(kAlphabet) - 2);
+  const auto random_text = [&](size_t len) {
+    std::string s(len, ' ');
+    for (char& c : s) c = kAlphabet[pick(rng)];
+    return s;
+  };
+  size_t matched = 0;
+  size_t checked = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const std::string core = random_text(1 + rng() % 12);
+    std::string pattern;
+    switch (round % 5) {
+      case 0:
+        pattern = core;  // exact
+        break;
+      case 1:
+        pattern = "%" + core;  // suffix
+        break;
+      case 2:
+        pattern = core + "%";  // prefix
+        break;
+      case 3:
+        pattern = "%" + core + "%";  // contains
+        break;
+      default: {  // general: wildcards spliced into the core
+        pattern = core;
+        const size_t at = rng() % (pattern.size() + 1);
+        pattern.insert(at, rng() % 2 == 0 ? "%" : "_");
+        if (rng() % 2 == 0) pattern += "%_";
+        break;
+      }
+    }
+    const LikeMatcher m(pattern);
+    EXPECT_EQ(m.is_exact(), round % 5 == 0);
+    for (int t = 0; t < 20; ++t) {
+      // Half the texts embed a case-flipped copy of the core so matches
+      // are common; the rest are random.
+      std::string text = random_text(rng() % 24);
+      if (t % 2 == 0) {
+        std::string flipped = core;
+        for (char& c : flipped) {
+          if (rng() % 2 == 0 && std::isalpha(static_cast<unsigned char>(c))) {
+            c = static_cast<char>(c ^ 0x20);
+          }
+        }
+        text.insert(rng() % (text.size() + 1), flipped);
+      }
+      const bool expected = ReferenceLike(pattern, text);
+      EXPECT_EQ(m.Matches(text), expected)
+          << "pattern '" << pattern << "' text '" << text << "'";
+      matched += expected;
+      ++checked;
+    }
+  }
+  // Both outcomes occur often enough for the comparison to mean something.
+  EXPECT_GT(matched, checked / 10);
+  EXPECT_LT(matched, checked - checked / 10);
 }
 
 TEST(LikeMatcherTest, MatchesDoesNotAllocate) {
